@@ -28,10 +28,11 @@ reports a throughput metric:
 
 Results are merged into one ``BENCH_perf.json`` at the repo root, and
 :func:`compare_against_baseline` turns the committed artifact into a
-regression gate (CI fails the perf job when any metric loses more than
-30% against it).  ``--profile`` runs the sweep workload under stdlib
-``cProfile`` and prints the top cumulative functions — the first stop
-when a sweep number moves.
+regression gate (CI fails the perf job when any metric moves more than
+30% the wrong way against it: down for rates, up for latencies).
+``--profile`` runs the sweep workload under stdlib ``cProfile`` and
+prints the top cumulative functions — the first stop when a sweep
+number moves.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ REGRESSION_TOLERANCE = 0.30
 
 @dataclass(frozen=True)
 class Metric:
-    """One named throughput measurement."""
+    """One named measurement; *better* says which way is an improvement."""
 
     name: str
     value: float
     unit: str
     workload: str
+    better: str = "higher"
 
 
 def _timed(work, *, repeats: int = 1):
@@ -420,7 +422,10 @@ def bench_serving(repeats: int = 1) -> list[Metric]:
         Metric(
             "serving_requests_per_s", report.served / elapsed, "req/s", workload
         ),
-        Metric("serving_p99_fetch_ms", report.fetch_p99_ms, "ms", workload),
+        Metric(
+            "serving_p99_fetch_ms", report.fetch_p99_ms, "ms", workload,
+            better="lower",
+        ),
     ]
 
 
@@ -449,7 +454,12 @@ def run_all(write: bool = True, path: pathlib.Path | None = None) -> dict:
     payload = {
         "harness": "benchmarks.perf",
         "metrics": {
-            m.name: {"value": round(m.value, 3), "unit": m.unit, "workload": m.workload}
+            m.name: {
+                "value": round(m.value, 3),
+                "unit": m.unit,
+                "workload": m.workload,
+                "better": m.better,
+            }
             for m in metrics
         },
     }
@@ -470,10 +480,13 @@ def compare_against_baseline(
 ) -> list[str]:
     """Regressions of *payload* versus *baseline*, as human-readable lines.
 
-    A metric regresses when its fresh value falls more than *tolerance*
-    below the baseline's.  Metrics present only on one side are noted
-    but do not fail the gate (the baseline predates newly added
-    benchmarks exactly once).
+    A metric regresses when it moves more than *tolerance* the wrong
+    way: a higher-is-better metric (rates, the default) falls below the
+    baseline, a ``"better": "lower"`` metric (latencies) rises above it.
+    The fresh entry's direction wins over the baseline's, so a baseline
+    written before directions existed still gates correctly.  Metrics
+    present only on one side are noted but do not fail the gate (the
+    baseline predates newly added benchmarks exactly once).
     """
     problems: list[str] = []
     fresh = payload["metrics"]
@@ -485,11 +498,21 @@ def compare_against_baseline(
         new = fresh[name].get("value")
         if old is None or new is None:
             continue  # malformed entry: informational in the delta table
-        if old > 0 and new < old * (1.0 - tolerance):
-            # Same one-decimal rounding as delta_table, so the two
-            # renderings of one regression never disagree.
+        if old <= 0:
+            continue
+        better = fresh[name].get("better", entry.get("better", "higher"))
+        # Same one-decimal rounding as delta_table, so the two
+        # renderings of one regression never disagree.
+        unit = fresh[name].get("unit", "")
+        if better == "lower":
+            if new > old * (1.0 + tolerance):
+                problems.append(
+                    f"{name}: {new:,.1f} {unit} is {(new / old - 1.0):.1%} "
+                    f"above baseline {old:,.1f} (lower is better)"
+                )
+        elif new < old * (1.0 - tolerance):
             problems.append(
-                f"{name}: {new:,.1f} {fresh[name].get('unit', '')} is "
+                f"{name}: {new:,.1f} {unit} is "
                 f"{(1.0 - new / old):.1%} below baseline {old:,.1f}"
             )
     return problems

@@ -47,6 +47,8 @@ def test_perf_harness_writes_consolidated_artifact(tmp_path):
         assert entry["value"] > 0, f"metric {name} measured non-positive throughput"
         assert entry["unit"]
         assert entry["workload"]
+        expected = "lower" if name == "serving_p99_fetch_ms" else "higher"
+        assert entry["better"] == expected, name
 
 
 def _payload(**values):
@@ -93,6 +95,55 @@ class TestRegressionGate:
         fresh = {"metrics": {"a": {"unit": "x/s"}}}  # no "value"
         baseline = _payload(a=100.0)
         assert compare_against_baseline(fresh, baseline) == []
+
+
+class TestGateDirection:
+    """Lower-is-better metrics regress when they rise, not when they fall."""
+
+    @staticmethod
+    def _latency(value, better="lower"):
+        return {
+            "metrics": {
+                "p99_ms": {
+                    "value": value,
+                    "unit": "ms",
+                    "workload": "synthetic",
+                    "better": better,
+                }
+            }
+        }
+
+    def test_latency_rise_is_flagged(self):
+        problems = compare_against_baseline(
+            self._latency(200.0), self._latency(100.0)
+        )
+        assert len(problems) == 1
+        assert "p99_ms:" in problems[0] and "100.0% above" in problems[0]
+
+    def test_latency_drop_passes(self):
+        assert compare_against_baseline(
+            self._latency(50.0), self._latency(100.0)
+        ) == []
+
+    def test_latency_boundary_is_exactly_the_tolerance(self):
+        baseline = self._latency(100.0)
+        at_edge = self._latency(100.0 * (1.0 + REGRESSION_TOLERANCE))
+        assert compare_against_baseline(at_edge, baseline) == []
+        above = self._latency(100.0 * (1.0 + REGRESSION_TOLERANCE) + 0.5)
+        assert compare_against_baseline(above, baseline)
+
+    def test_higher_is_better_drop_is_flagged_rise_passes(self):
+        baseline = self._latency(100.0, better="higher")
+        assert compare_against_baseline(
+            self._latency(50.0, better="higher"), baseline
+        )
+        assert compare_against_baseline(
+            self._latency(200.0, better="higher"), baseline
+        ) == []
+
+    def test_direction_from_baseline_when_fresh_lacks_it(self):
+        fresh = _payload(p99_ms=200.0)  # no "better" field
+        assert compare_against_baseline(fresh, self._latency(100.0))
 
 
 class TestDeltaTable:

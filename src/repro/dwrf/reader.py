@@ -49,9 +49,19 @@ class IORecord:
 
 @dataclass
 class IOTrace:
-    """Accumulated physical I/O issued by a reader."""
+    """Accumulated physical I/O issued by a reader.
 
-    records: list[IORecord] = field(default_factory=list)
+    ``bytes_read`` and ``useful_bytes`` are running totals kept by
+    :meth:`add` and :meth:`extend`, so polling them is O(1) however long
+    the trace grows.  ``records`` keeps every read for the studies that
+    need placement or the size distribution (``io_sizes``,
+    ``seek_count``); append to it only through ``add``/``extend`` or the
+    totals drift.
+    """
+
+    records: list[IORecord] = field(default_factory=list, init=False)
+    bytes_read: int = field(default=0, init=False)
+    useful_bytes: int = field(default=0, init=False)
 
     def add(self, offset: int, length: int, useful_bytes: int | None = None) -> None:
         """Record one read; *useful_bytes* defaults to the full length."""
@@ -59,21 +69,19 @@ class IOTrace:
         if not 0 <= useful <= length:
             raise FormatError("useful bytes out of range")
         self.records.append(IORecord(offset, length, useful))
+        self.bytes_read += length
+        self.useful_bytes += useful
+
+    def extend(self, other: "IOTrace") -> None:
+        """Append every read of *other*, in order, totals included."""
+        self.records.extend(other.records)
+        self.bytes_read += other.bytes_read
+        self.useful_bytes += other.useful_bytes
 
     @property
     def io_count(self) -> int:
         """Number of physical reads issued."""
         return len(self.records)
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes fetched from the device."""
-        return sum(record.length for record in self.records)
-
-    @property
-    def useful_bytes(self) -> int:
-        """Bytes that belonged to projected streams."""
-        return sum(record.useful_bytes for record in self.records)
 
     @property
     def overread_fraction(self) -> float:

@@ -85,12 +85,10 @@ class FirstX(_SparseUnary):
         column = self._input(batch)
         lengths = np.minimum(column.lengths(), self.x)
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        keep = np.concatenate(
-            [
-                np.arange(column.offsets[i], column.offsets[i] + lengths[i])
-                for i in range(len(column))
-            ]
-        ).astype(np.int64) if len(column) else np.empty(0, dtype=np.int64)
+        # Output slot j of row i reads input slot column.offsets[i] +
+        # (j - offsets[i]): one row-shift per kept ID plus one arange.
+        shift = np.repeat(column.offsets[:-1] - offsets[:-1], lengths)
+        keep = shift + np.arange(offsets[-1], dtype=np.int64)
         values = column.values[keep]
         weights = None if column.weights is None else column.weights[keep]
         return SparseColumn(offsets, values, weights)

@@ -103,3 +103,31 @@ class TestFeatureOrdering:
         n_projected = len(dataset.projection)
         assert set(order[:n_projected]) == set(dataset.projection)
         assert len(order) == len(dataset.schema)
+
+
+#: (rows, cpu_cycles, useful_bytes, disk_time_s, io_count, seeks,
+#: overread_fraction) per stage of the conftest sweep.  Worker traces
+#: merged through ``IOTrace.extend`` must reproduce every one exactly.
+PINNED_STAGES = {
+    "Baseline": (1200, 102651088.512, 801693, 0.00209812, 6, 1, 0.0),
+    "+FF": (1200, 51835899.64800001, 725377, 0.04023358466666667, 204, 75, 0.0),
+    "+FM": (1200, 42003368.832, 725377, 0.04023358466666667, 204, 75, 0.0),
+    "+LO": (1200, 32815131.900000002, 725377, 0.04023358466666667, 204, 75, 0.0),
+    "+CR": (1200, 32815131.900000002, 725377, 0.002930059333333333, 3, 3, 0.6391318991348145),
+    "+FR": (1200, 32815131.900000002, 725377, 0.0020735846666666666, 3, 3, 0.0),
+    "+LS": (1200, 32798862.9, 717982, 0.0010086546666666666, 1, 1, 0.0),
+}
+
+
+class TestPinnedStageResults:
+    def test_stage_results_unchanged(self, results):
+        assert set(results) == set(PINNED_STAGES)
+        for name, pinned in PINNED_STAGES.items():
+            r = results[name]
+            rows, cycles, useful, disk_time, io_count, seeks, overread = pinned
+            assert (r.rows, r.useful_bytes, r.io_count, r.seeks) == (
+                rows, useful, io_count, seeks
+            ), name
+            assert r.cpu_cycles == pytest.approx(cycles, rel=1e-9), name
+            assert r.disk_time_s == pytest.approx(disk_time, rel=1e-9), name
+            assert r.overread_fraction == pytest.approx(overread, rel=1e-9), name

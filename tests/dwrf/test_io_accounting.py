@@ -42,6 +42,49 @@ class TestIOTrace:
         assert trace.size_summary().mean == pytest.approx(20)
 
 
+READS = st.lists(
+    st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 24), st.floats(0, 1)),
+    max_size=20,
+)
+
+
+def traced(reads) -> IOTrace:
+    trace = IOTrace()
+    for offset, length, useful_share in reads:
+        trace.add(offset, length, int(length * useful_share))
+    return trace
+
+
+def assert_totals_match_records(trace: IOTrace) -> None:
+    """The running totals against a naive re-sum of the kept records."""
+    bytes_read = sum(record.length for record in trace.records)
+    useful = sum(record.useful_bytes for record in trace.records)
+    assert trace.bytes_read == bytes_read
+    assert trace.useful_bytes == useful
+    assert trace.io_count == len(trace.records)
+    expected = 0.0 if bytes_read == 0 else 1.0 - useful / bytes_read
+    assert trace.overread_fraction == expected
+
+
+class TestIOTraceTotals:
+    @given(st.lists(st.tuples(st.booleans(), READS), max_size=8))
+    def test_totals_track_any_add_extend_sequence(self, steps):
+        trace = IOTrace()
+        for merge, reads in steps:
+            if merge:
+                trace.extend(traced(reads))
+            else:
+                for offset, length, useful_share in reads:
+                    trace.add(offset, length, int(length * useful_share))
+            assert_totals_match_records(trace)
+
+    @given(READS, READS)
+    def test_extend_concatenates_records(self, first, second):
+        trace = traced(first)
+        trace.extend(traced(second))
+        assert trace == traced(first + second)
+
+
 class TestPlanReads:
     def test_no_window_one_read_per_range(self):
         needed = [_Range(0, 10), _Range(100, 10)]
