@@ -17,12 +17,39 @@ from repro.experiments import (
     run_experiment,
     run_experiment_traced,
 )
+from repro.experiments.grid import (
+    QUICK_GRID_CONFIG_SPEC,
+    QUICK_GRID_MIX_OVERRIDES,
+    QUICK_GRID_STORM_ROWS,
+)
+from repro.experiments.scenarios import (
+    FleetRegionScenario,
+    config_from_spec,
+    fault_events_from_rows,
+    mix_from_overrides,
+)
 
 KINDS = ["fleet/busy", "chaos/seeded", "dpp/worker-churn"]
 
 
 def batch():
     return [build_scenario(name, seed=2) for name in KINDS]
+
+
+def busy_storm(seed: int) -> FleetRegionScenario:
+    """``fleet/busy`` under the quick-grid fault storm, two days of
+    arrivals cut at a one-day horizon: long enough for steady stretches
+    (deferred ticks) around the crash and storage derate."""
+    day = 24 * 3600.0
+    return FleetRegionScenario(
+        name=f"fleet/busy-storm/seed{seed}",
+        trace_seed=seed,
+        mix=mix_from_overrides(QUICK_GRID_MIX_OVERRIDES["busy"]),
+        config=config_from_spec(QUICK_GRID_CONFIG_SPEC),
+        duration_s=2 * day,
+        horizon_s=day,
+        faults=fault_events_from_rows(QUICK_GRID_STORM_ROWS, "at_s"),
+    )
 
 
 class TestSerialVsParallel:
@@ -63,6 +90,14 @@ class TestTracingIsPassive:
         traced_entry, trace = run_experiment_traced(scenario)
         assert plain.to_json() == traced_entry.report.to_json()
         assert trace.metrics()["trace.events"] > 0
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_busy_storm_traced_report_matches_untraced(self, seed):
+        scenario = busy_storm(seed)
+        plain = run_experiment(scenario).report
+        traced_entry, trace = run_experiment_traced(scenario)
+        assert plain.to_json() == traced_entry.report.to_json()
+        assert trace.metrics()["trace.counters"] > 0
 
 
 class TestRoundTrips:
