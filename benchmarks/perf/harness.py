@@ -284,8 +284,9 @@ def bench_traced_fleet(repeats: int = 3) -> list[Metric]:
     """The same fleet region with full telemetry recording on.
 
     The gap between this and ``fleet_events_per_s`` is the tracing
-    tax: clock hook, tick spans, job-lifecycle spans, and per-sample
-    counters all live.
+    tax: job-lifecycle spans, broker instants and fault events are
+    recorded live; the per-tick span and counters are read from the
+    simulator's sample rows, so the tick path records nothing.
     """
     from repro.fleet import FleetSimulator
     from repro.telemetry import Tracer

@@ -66,6 +66,15 @@ _EPS = 1e-9
 #: around a few dozen jobs.
 _VECTOR_MIN = 32
 
+#: Per-tick trace counters read from the sample rows: (counter name,
+#: row column) in recording order — live workers, queued jobs, granted
+#: bytes/s.  Column 0 (the tick time) stamps them and the tick span.
+_TICK_COUNTERS = (
+    ("fleet.live_workers", 3),
+    ("fleet.queued_jobs", 2),
+    ("fleet.granted_bytes_per_s", 7),
+)
+
 
 def _fleet_autoscaler_config() -> AutoscalerConfig:
     """Per-job controller thresholds in buffered *seconds of demand*."""
@@ -214,14 +223,15 @@ class _SteadyStretch:
     done, stall, worker-seconds, granted bytes) advancing by a
     *constant* per-tick delta.
 
-    A stretch defers those accumulations — and, untraced, the sample
-    rows themselves: fast ticks just count themselves, and settling
-    (a) replays the deferred count as one fused ``acc += delta`` per
-    tick over a stacked ``(4, n)`` float64 array — the exact same
-    IEEE-754 addition sequence the reference would have executed job
-    by job — and (b) appends the deferred rows with their tick times
-    rebuilt by the same chained ``t + tick`` float adds the clock's
-    periodic reschedule performs, so byte-identity survives both.
+    A stretch defers those accumulations — and the sample rows
+    themselves, traced or not: fast ticks just count themselves, and
+    settling (a) replays the deferred count as one fused
+    ``acc += delta`` per tick over a stacked ``(4, n)`` float64 array —
+    the exact same IEEE-754 addition sequence the reference would have
+    executed job by job — and (b) appends the deferred rows with their
+    tick times rebuilt by the same chained ``t + tick`` float adds the
+    clock's periodic reschedule performs, so byte-identity survives
+    both.
     ``remaining`` bounds the stretch so no job can cross its
     completion threshold (or bend its consumption clamp) inside it;
     any state mutation (grant change, crash, derate, membership
@@ -347,24 +357,30 @@ class FleetSimulator:
         self._chains_started = False
         self._tick_handle = None
         self._control_handle = None
-        # The tick body is bound once: untraced runs dispatch straight
-        # into the dynamics with zero telemetry bookkeeping on the
-        # periodic callback path.
+        # The tick body is bound once; traced or not, the periodic
+        # callback dispatches straight into the dynamics.
         self._tick_core = self._tick_fused if fused else self._tick_reference
         # Telemetry: the tracer rides the simulation clock.  Disabled
         # (the shared NULL_TRACER) every hot-path site costs one
-        # `tracer.enabled` check; enabled, the clock hook counts every
-        # fired event and the tick emits spans plus counter samples.
+        # `tracer.enabled` check.  Enabled, the tick path still records
+        # nothing: the sample rows *are* the tick telemetry (a span plus
+        # three counters per row, read at freeze/export time), and the
+        # tick and clock-event metrics are derived from the row count
+        # and the clock's fired total when the metrics are snapshotted.
         self.tracer = tracer or NULL_TRACER
         # Hoisted once: every per-event site guards on this plain bool
         # instead of an attribute chain through the tracer object.
         self._traced = self.tracer.enabled
         if self._traced:
             self.tracer.bind_clock(lambda: self.clock.now)
-            clock_events = self.tracer.metrics.counter("fleet.clock_events")
-            self.clock.set_trace_hook(
-                lambda time, callback: clock_events.inc()
+            self.tracer.attach_ticks(
+                "fleet.tick", "fleet", _TICK_COUNTERS,
+                rows=self._settled_rows, count=self._tick_count,
             )
+            # (ticks, clock events) already folded into the counters.
+            self._fired_at_attach = self.clock.fired
+            self._metrics_seen = (0, 0)
+            self.tracer.metrics.add_collector(self._collect_metrics)
             self.broker.attach_tracer(self.tracer)
 
     # -- lifecycle -------------------------------------------------------------
@@ -844,33 +860,32 @@ class FleetSimulator:
         static.stall[:] = stall_row
         static.wsec[:] = wsec_row
         static.gbytes[:] = gbytes_row
-        if not self._traced:
-            # Materialize the deferred sample rows.  Tick times chain
-            # as ``t + tick`` — operand-for-operand the float adds the
-            # clock's periodic reschedule executed for those fires.
-            rows = self._sample_rows
-            tail = stretch.row_tail
-            t = stretch.t_next
-            tick = self._tick_s
-            breaks = stretch.queue_breaks
-            if breaks is None:
-                for _ in range(k):
-                    rows.append((t,) + tail)
-                    t += tick
-            else:
-                # Queue arrivals mid-stretch: bump the one unpinned
-                # tail field (queued_jobs) at each recorded row index.
-                qlen = tail[1]
-                cursor = 0
-                n_breaks = len(breaks)
-                for i in range(k):
-                    while cursor < n_breaks and breaks[cursor] == i:
-                        qlen += 1
-                        cursor += 1
-                    if qlen != tail[1]:
-                        tail = tail[:1] + (qlen,) + tail[2:]
-                    rows.append((t,) + tail)
-                    t += tick
+        # Materialize the deferred sample rows.  Tick times chain as
+        # ``t + tick`` — operand-for-operand the float adds the clock's
+        # periodic reschedule executed for those fires.
+        rows = self._sample_rows
+        tail = stretch.row_tail
+        t = stretch.t_next
+        tick = self._tick_s
+        breaks = stretch.queue_breaks
+        if breaks is None:
+            for _ in range(k):
+                rows.append((t,) + tail)
+                t += tick
+        else:
+            # Queue arrivals mid-stretch: bump the one unpinned tail
+            # field (queued_jobs) at each recorded row index.
+            qlen = tail[1]
+            cursor = 0
+            n_breaks = len(breaks)
+            for i in range(k):
+                while cursor < n_breaks and breaks[cursor] == i:
+                    qlen += 1
+                    cursor += 1
+                if qlen != tail[1]:
+                    tail = tail[:1] + (qlen,) + tail[2:]
+                rows.append((t,) + tail)
+                t += tick
 
     def _open_stretch(
         self, stretch: _SteadyStretch, now: float, tick: float
@@ -962,15 +977,6 @@ class FleetSimulator:
             if stretch.remaining > 0:
                 stretch.remaining -= 1
                 stretch.deferred += 1
-                if self._traced:
-                    # Counters must hit the trace in event order, so
-                    # traced fast ticks emit their row immediately.
-                    self._sample(
-                        self.clock.now,
-                        stretch.total_rate,
-                        stretch.total_demand,
-                        stretch.granted_bps,
-                    )
                 return
             self._settle_stretch()
         now = self.clock.now
@@ -1326,37 +1332,35 @@ class FleetSimulator:
                 power,
             )
         )
-        if self._traced:
-            tracer = self.tracer
-            tracer.counter("fleet.live_workers", float(live), actor="fleet")
-            tracer.counter(
-                "fleet.queued_jobs", float(len(self._queue)), actor="fleet"
-            )
-            tracer.counter(
-                "fleet.granted_bytes_per_s", granted_bps, actor="fleet"
-            )
-            tracer.metrics.counter("fleet.ticks").inc()
+
+    # -- telemetry ------------------------------------------------------------
+
+    def _tick_count(self) -> int:
+        """Ticks fired so far: sample rows plus an open stretch's
+        deferred (not yet materialized) ones."""
+        stretch = self._stretch
+        deferred = stretch.deferred if stretch is not None else 0
+        return len(self._sample_rows) + deferred
+
+    def _settled_rows(self) -> list[tuple]:
+        """Every tick's sample row, deferred stretch ticks included."""
+        self._settle_stretch()
+        return self._sample_rows
+
+    def _collect_metrics(self, registry) -> None:
+        """Bring ``fleet.ticks`` / ``fleet.clock_events`` up to date."""
+        ticks = self._tick_count()
+        events = self.clock.fired - self._fired_at_attach
+        seen_ticks, seen_events = self._metrics_seen
+        registry.counter("fleet.clock_events").inc(events - seen_events)
+        if ticks:
+            registry.counter("fleet.ticks").inc(ticks - seen_ticks)
+        self._metrics_seen = (ticks, events)
 
     # -- driver ---------------------------------------------------------------
 
     def _work_remaining(self) -> bool:
         return bool(self._active or self._queue or self._pending_arrivals)
-
-    def _tick_event(self) -> None:
-        """Traced flavor of the periodic tick occurrence.
-
-        Untraced fleets bind the periodic callback straight to the
-        dynamics (``_tick_core``) with no wrapper at all — the
-        disabled-tracer overhead on the tick path is zero.  This
-        wrapper records the span bounds itself and emits the finished
-        span directly (:meth:`~repro.telemetry.tracer.Tracer.
-        emit_span`): no per-tick actor-stack push/pop, same event,
-        same order (after the tick's counter samples).  Cancellation
-        lives in :meth:`_finish` for both flavors.
-        """
-        start = self.clock.now
-        self._tick_core()
-        self.tracer.emit_span("fleet.tick", "fleet", start, 0.0)
 
     def _control_event(self) -> None:
         self._control()
@@ -1375,8 +1379,7 @@ class FleetSimulator:
         # Periodic processes ride the clock's heap-free side list; each
         # is cancelled once the fleet has no work left, matching the
         # old self-rescheduling chains occurrence for occurrence.
-        tick_callback = self._tick_event if self._traced else self._tick_core
-        self._tick_handle = self.clock.every(self.config.tick_s, tick_callback)
+        self._tick_handle = self.clock.every(self.config.tick_s, self._tick_core)
         self._control_handle = self.clock.every(
             self.config.control_period_s, self._control_event
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..common.errors import ConfigError
 from ..common.serialization import (
@@ -158,6 +158,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
     def _get(self, name: str, factory):
         instrument = self._instruments.get(name)
@@ -181,8 +182,21 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
+    def add_collector(
+        self, collect: Callable[["MetricsRegistry"], None]
+    ) -> None:
+        """Register *collect(registry)*, run before every snapshot.
+
+        A collector brings instruments whose totals live in engine
+        state (rows kept, events fired) up to date on demand, so the
+        engine's hot path never touches them.
+        """
+        self._collectors.append(collect)
+
     def snapshot(self) -> "MetricsSnapshot":
         """Freeze the live instruments into a serializable report."""
+        for collect in self._collectors:
+            collect(self)
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}

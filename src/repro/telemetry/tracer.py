@@ -18,21 +18,33 @@ The recorder comes in two shapes:
   guards hot paths with ``if tracer.enabled:`` so a disabled telemetry
   plane costs a single attribute check per site.
 
-:meth:`Tracer.freeze` closes any dangling spans and packages the event
-stream as a :class:`Trace` — a :class:`ReportBase` subclass (kind
+Events are stored columnar (:class:`EventColumns`): one append per
+field, names and actors interned to ids — no object per event.  A
+periodic sampler that already keeps one row per tick (the fleet
+simulator) does not record its tick telemetry at all: it attaches its
+rows as a *tick series* (:meth:`Tracer.attach_ticks`), and every other
+event carries its position in that series — how many ticks had fired
+when it was emitted — so the rows interleave back in exact emission
+order when the trace is read.
+
+:meth:`Tracer.freeze` closes any dangling spans and packages the
+columns as a :class:`Trace` — a :class:`ReportBase` subclass (kind
 ``"trace"``) whose ``merge`` appends whole processes, which is how the
 experiment runner folds per-scenario traces from a parallel fan-out
-into one bundle.  Export to the Chrome trace-event format lives in
-:mod:`repro.telemetry.chrome`.
+into one bundle.  :class:`TraceEvent` objects are built only when a
+caller asks for :attr:`TraceProcess.events`.  Export to the Chrome
+trace-event format lives in :mod:`repro.telemetry.chrome`.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
+import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..common.errors import ConfigError
 from ..common.hashing import stable_hash
@@ -71,6 +83,19 @@ def _freeze_args(args: Mapping[str, Any]) -> tuple:
                 f"got {type(value).__name__}"
             )
     return tuple(sorted(args.items()))
+
+
+def _counter_value(name: str, value: Any) -> float:
+    """A counter sample as a finite float (what a revived trace holds)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(
+            f"counter {name!r} value must be a real number, "
+            f"got {type(value).__name__}"
+        )
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"counter {name!r} value must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,19 +139,197 @@ class TraceEvent:
         )
 
 
-@dataclass
-class TraceProcess:
-    """One traced run (one scenario execution) — a Chrome ``pid``."""
+class EventColumns:
+    """Recorded events as parallel columns, in emission order.
 
-    name: str
-    run_id: str
-    events: list[TraceEvent] = field(default_factory=list)
+    ``name`` and ``actor`` hold ids into the ``names`` / ``actors``
+    tables; ``pos`` holds each event's tick-series position (0 when no
+    series is attached).  Positions never decrease along the columns.
+    """
+
+    __slots__ = (
+        "phase", "name", "actor", "time", "dur", "args", "pos",
+        "names", "actors", "_name_ids", "_actor_ids",
+    )
+
+    def __init__(self) -> None:
+        self.phase: list[str] = []
+        self.name: list[int] = []
+        self.actor: list[int] = []
+        self.time: list[float] = []
+        self.dur: list[float] = []
+        self.args: list[tuple] = []
+        self.pos: list[int] = []
+        self.names: list[str] = []
+        self.actors: list[str] = []
+        self._name_ids: dict[str, int] = {}
+        self._actor_ids: dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.phase)
+
+    def append(
+        self,
+        phase: str,
+        name: str,
+        actor: str,
+        time_s: float,
+        dur_s: float,
+        args: tuple,
+        pos: int,
+    ) -> None:
+        name_id = self._name_ids.get(name)
+        if name_id is None:
+            name_id = self._name_ids[name] = len(self.names)
+            self.names.append(name)
+        actor_id = self._actor_ids.get(actor)
+        if actor_id is None:
+            actor_id = self._actor_ids[actor] = len(self.actors)
+            self.actors.append(actor)
+        self.phase.append(phase)
+        self.name.append(name_id)
+        self.actor.append(actor_id)
+        self.time.append(time_s)
+        self.dur.append(dur_s)
+        self.args.append(args)
+        self.pos.append(pos)
+
+    def copy(self) -> "EventColumns":
+        other = EventColumns()
+        for slot in self.__slots__:
+            setattr(other, slot, getattr(self, slot).copy())
+        return other
+
+
+@dataclass(frozen=True)
+class TickSeries:
+    """A periodic sampler's rows, read as trace events.
+
+    Each row ``r`` stands for one counter sample per ``(name, column)``
+    in *counters* (value ``float(r[column])``), then a zero-duration
+    *span*, all on *actor* at time ``r[0]`` — in that order.
+    """
+
+    span: str
+    actor: str
+    counters: tuple[tuple[str, int], ...]
+    rows: Sequence[tuple]
+
+    @property
+    def events_per_row(self) -> int:
+        return len(self.counters) + 1
+
+    def events(self, start: int, stop: int) -> Iterator[tuple]:
+        """``(phase, name, actor, time, dur, args)`` of rows start..stop."""
+        span, actor, counters = self.span, self.actor, self.counters
+        for row in self.rows[start:stop]:
+            time_s = row[0]
+            for name, column in counters:
+                yield (
+                    PHASE_COUNTER, name, actor, time_s, 0.0,
+                    (("value", float(row[column])),),
+                )
+            yield PHASE_SPAN, span, actor, time_s, 0.0, ()
+
+
+class TraceProcess:
+    """One traced run (one scenario execution) — a Chrome ``pid``.
+
+    Holds the recorded columns and, for a fleet run, its tick series;
+    :attr:`events` builds :class:`TraceEvent` objects on demand.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        run_id: str,
+        events: Sequence[TraceEvent] = (),
+        *,
+        columns: EventColumns | None = None,
+        ticks: TickSeries | None = None,
+    ) -> None:
+        self.name = name
+        self.run_id = run_id
+        if columns is None:
+            columns = EventColumns()
+            for event in events:
+                columns.append(
+                    event.phase, event.name, event.actor, event.time_s,
+                    event.dur_s, event.args, 0,
+                )
+        self.columns = columns
+        self.ticks = ticks
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceProcess):
+            return NotImplemented
+        return self.to_row() == other.to_row()
+
+    @property
+    def tick_rows(self) -> int:
+        return len(self.ticks.rows) if self.ticks is not None else 0
+
+    @property
+    def event_count(self) -> int:
+        ticks = self.ticks
+        return len(self.columns) + (
+            len(ticks.rows) * ticks.events_per_row if ticks is not None else 0
+        )
+
+    def runs(self) -> Iterator[tuple[bool, int, int]]:
+        """Emission order as alternating runs: ``(False, i, j)`` is
+        column events ``i..j-1``, ``(True, a, b)`` tick rows ``a..b-1``.
+        """
+        pos = self.columns.pos
+        count = len(pos)
+        emitted = 0
+        i = 0
+        while i < count:
+            position = pos[i]
+            if position > emitted:
+                yield True, emitted, position
+                emitted = position
+            j = bisect.bisect_right(pos, position, i)
+            yield False, i, j
+            i = j
+        total = self.tick_rows
+        if total > emitted:
+            yield True, emitted, total
+
+    def iter_events(self) -> Iterator[tuple]:
+        """``(phase, name, actor, time, dur, args)`` in emission order."""
+        cols = self.columns
+        names, actors = cols.names, cols.actors
+        for is_tick, start, stop in self.runs():
+            if is_tick:
+                yield from self.ticks.events(start, stop)
+                continue
+            for i in range(start, stop):
+                yield (
+                    cols.phase[i], names[cols.name[i]], actors[cols.actor[i]],
+                    cols.time[i], cols.dur[i], cols.args[i],
+                )
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event as a :class:`TraceEvent` (built on each access)."""
+        return [TraceEvent(*event) for event in self.iter_events()]
 
     def to_row(self) -> dict:
         return {
             "name": self.name,
             "run_id": self.run_id,
-            "events": [event.to_row() for event in self.events],
+            "events": [
+                {
+                    "ph": phase,
+                    "name": name,
+                    "actor": actor,
+                    "t": time_s,
+                    "dur": dur_s,
+                    "args": {key: value for key, value in args},
+                }
+                for phase, name, actor, time_s, dur_s, args in self.iter_events()
+            ],
         }
 
     @classmethod
@@ -179,19 +382,32 @@ class Trace(ReportBase):
         )
 
     def metrics(self) -> dict[str, float]:
-        events = [e for p in self.processes for e in p.events]
-        spans = [e for e in events if e.phase == PHASE_SPAN]
+        events = spans = instants = counters = tick_spans = 0
+        span_time = 0  # summed like the event stream: in order, from int 0
+        for process in self.processes:
+            cols = process.columns
+            events += process.event_count
+            for phase, dur_s in zip(cols.phase, cols.dur):
+                if phase == PHASE_SPAN:
+                    spans += 1
+                    span_time += dur_s
+                elif phase == PHASE_INSTANT:
+                    instants += 1
+                else:
+                    counters += 1
+            ticks = process.ticks
+            if ticks is not None:
+                tick_spans += len(ticks.rows)
+                counters += len(ticks.rows) * len(ticks.counters)
+        if tick_spans:
+            span_time += 0.0  # tick spans are zero-length
         return {
             "trace.processes": float(len(self.processes)),
-            "trace.events": float(len(events)),
-            "trace.spans": float(len(spans)),
-            "trace.instants": float(
-                sum(1 for e in events if e.phase == PHASE_INSTANT)
-            ),
-            "trace.counters": float(
-                sum(1 for e in events if e.phase == PHASE_COUNTER)
-            ),
-            "trace.span_time_s": sum(e.dur_s for e in spans),
+            "trace.events": float(events),
+            "trace.spans": float(spans + tick_spans),
+            "trace.instants": float(instants),
+            "trace.counters": float(counters),
+            "trace.span_time_s": span_time,
         }
 
     def merge(self, other: "ReportBase") -> "Trace":
@@ -311,8 +527,13 @@ class Tracer:
         self.run_id = format(stable_hash("trace", scenario, seed), "016x")
         self.metrics = MetricsRegistry()
         self._time: TimeSource = time_fn or (lambda: 0.0)
-        self._events: list[TraceEvent] = []
+        self._columns = EventColumns()
         self._stacks: dict[str, list[tuple[str, float, tuple]]] = {}
+        # The attached tick series (rows filled in at freeze), its
+        # settled-rows provider and its tick count — see attach_ticks.
+        self._ticks: TickSeries | None = None
+        self._tick_rows: Callable[[], Sequence[tuple]] | None = None
+        self._tick_count: Callable[[], int] | None = None
 
     # -- the clock -------------------------------------------------------------
 
@@ -323,7 +544,48 @@ class Tracer:
     def now(self) -> float:
         return self._time()
 
+    # -- tick series -----------------------------------------------------------
+
+    def attach_ticks(
+        self,
+        span: str,
+        actor: str,
+        counters: tuple[tuple[str, int], ...],
+        rows: Callable[[], Sequence[tuple]],
+        count: Callable[[], int],
+    ) -> None:
+        """Read a periodic sampler's rows as its per-tick telemetry.
+
+        Every tick the sampler keeps a row (time first) and stands for
+        the events of a :class:`TickSeries` — counter samples from the
+        named columns, then a zero-duration *span*.  *count* returns how
+        many ticks have fired (rows kept or still deferred); it stamps
+        every other event's position.  *rows* returns the settled rows
+        and is called once per :meth:`freeze`.  A tracer takes one
+        series.
+        """
+        if self._ticks is not None:
+            raise ConfigError("a tracer records at most one tick series")
+        self._ticks = TickSeries(span, actor, tuple(counters), ())
+        self._tick_rows = rows
+        self._tick_count = count
+
     # -- recording -------------------------------------------------------------
+
+    def _record(
+        self,
+        phase: str,
+        name: str,
+        actor: str,
+        time_s: float,
+        dur_s: float,
+        args: tuple,
+    ) -> None:
+        count = self._tick_count
+        self._columns.append(
+            phase, name, actor, time_s, dur_s, args,
+            0 if count is None else count(),
+        )
 
     def begin(self, name: str, actor: str = "main", **args) -> None:
         """Open a span on *actor*'s stack (closed by :meth:`end`)."""
@@ -339,11 +601,7 @@ class Tracer:
             raise ConfigError(f"no open span to end for actor {actor!r}")
         name, start, args = stack.pop()
         now = self._time()
-        self._events.append(
-            TraceEvent(
-                PHASE_SPAN, name, actor, start, max(0.0, now - start), args
-            )
-        )
+        self._record(PHASE_SPAN, name, actor, start, max(0.0, now - start), args)
 
     @contextmanager
     def span(self, name: str, actor: str = "main", **args):
@@ -366,29 +624,26 @@ class Tracer:
 
         For a caller that knows the span's bounds up front this is
         :meth:`begin` + :meth:`end` minus the actor-stack traffic and
-        kwargs freezing; it emits the identical :class:`TraceEvent`.
-        *args* must already be in frozen ``(key, value)`` tuple form.
+        kwargs freezing; it records the identical event.  *args* must
+        already be in frozen ``(key, value)`` tuple form.
         """
-        self._events.append(
-            TraceEvent(PHASE_SPAN, name, actor, start_s, dur_s, args)
-        )
+        self._record(PHASE_SPAN, name, actor, start_s, dur_s, args)
 
     def instant(self, name: str, actor: str = "main", **args) -> None:
         """A point event (fault injected, job admitted, ...)."""
-        self._events.append(
-            TraceEvent(
-                PHASE_INSTANT, name, actor, self._time(), 0.0,
-                _freeze_args(args),
-            )
+        self._record(
+            PHASE_INSTANT, name, actor, self._time(), 0.0, _freeze_args(args)
         )
 
     def counter(self, name: str, value: float, actor: str = "main") -> None:
-        """Sample a time series (queue depth, granted bandwidth, ...)."""
-        self._events.append(
-            TraceEvent(
-                PHASE_COUNTER, name, actor, self._time(), 0.0,
-                (("value", float(value)),),
-            )
+        """Sample a time series (queue depth, granted bandwidth, ...).
+
+        *value* must be a finite real number: a trace stores it as a
+        float, and JSON has no float for ``inf`` or ``nan``.
+        """
+        self._record(
+            PHASE_COUNTER, name, actor, self._time(), 0.0,
+            (("value", _counter_value(name, value)),),
         )
 
     def log(self, message: str, level: int = logging.INFO, **fields) -> None:
@@ -409,7 +664,10 @@ class Tracer:
 
     @property
     def event_count(self) -> int:
-        return len(self._events)
+        count = len(self._columns)
+        if self._ticks is not None:
+            count += self._tick_count() * self._ticks.events_per_row
+        return count
 
     def open_spans(self) -> dict[str, int]:
         """Actor → open-span depth (diagnostic)."""
@@ -424,11 +682,18 @@ class Tracer:
         for actor in sorted(self._stacks):
             while self._stacks[actor]:
                 self.end(actor)
+        ticks = None
+        if self._ticks is not None:
+            rows = self._tick_rows()[: self._tick_count()]
+            ticks = replace(self._ticks, rows=rows)
         name = process_name or self.scenario or "trace"
         return Trace(
             processes=[
                 TraceProcess(
-                    name=name, run_id=self.run_id, events=list(self._events)
+                    name=name,
+                    run_id=self.run_id,
+                    columns=self._columns.copy(),
+                    ticks=ticks,
                 )
             ]
         )

@@ -91,3 +91,65 @@ class TestDeterminism:
         first = write_chrome_trace(build_trace(), tmp_path / "a.json")
         second = write_chrome_trace(build_trace(), tmp_path / "b.json")
         assert first.read_text() == second.read_text()
+
+
+class TestValidatorEquivalence:
+    """The dict fast path returns exactly the reference checker's problems."""
+
+    CASES = [
+        None,
+        [],
+        {},
+        {"traceEvents": "nope"},
+        {"traceEvents": []},
+        {"traceEvents": [{"ph": "Q", "name": "x", "pid": 1, "tid": 1}]},
+        {"traceEvents": [
+            {"ph": "X", "name": "x", "pid": 1, "tid": 1, "ts": 0.0, "dur": -1.0}
+        ]},
+        {"traceEvents": [
+            7,
+            {"ph": "M", "name": "bogus", "pid": "1", "args": {}},
+            {"ph": "M", "name": "thread_name", "pid": 1, "tid": 2},
+            {"ph": "X", "name": "", "pid": 1, "tid": 1, "ts": True, "dur": True},
+            {"ph": "X", "name": "x", "pid": 1, "tid": 1, "ts": 1},
+            {"ph": "i", "name": "x", "pid": 1, "tid": 1, "ts": 1.0, "s": "q"},
+            {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 1.0, "args": [1]},
+            {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 1.0},
+            {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 1.0,
+             "args": {"value": 1.0}},
+        ]},
+    ]
+
+    def test_same_problems_as_reference(self):
+        from tests.telemetry import oracle
+
+        cases = self.CASES + [to_chrome(build_trace())]
+        for payload in cases:
+            assert validate_chrome_trace(payload) == oracle.validate_chrome_trace(
+                payload
+            ), payload
+
+    def test_non_dict_mappings_are_checked_the_same(self):
+        from types import MappingProxyType
+
+        from tests.telemetry import oracle
+
+        events = [dict(e) for e in to_chrome(build_trace())["traceEvents"]]
+        proxied = [MappingProxyType(e) for e in events]
+        proxied[-1] = MappingProxyType(
+            {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 1.0,
+             "args": MappingProxyType({"value": 2.0})}
+        )
+        proxied.append(MappingProxyType({"ph": "i", "name": "x", "pid": 1}))
+        for payload in (
+            {"traceEvents": proxied},
+            MappingProxyType({"traceEvents": proxied}),
+        ):
+            problems = validate_chrome_trace(payload)
+            assert problems == oracle.validate_chrome_trace(payload)
+            assert problems == [
+                f"traceEvents[{len(proxied) - 1}]: missing integer 'tid'",
+                f"traceEvents[{len(proxied) - 1}]: missing numeric 'ts'",
+                f"traceEvents[{len(proxied) - 1}]: "
+                "instant scope 's' must be t/p/g",
+            ]

@@ -91,6 +91,29 @@ class TestTracingIsPassive:
         assert plain.to_json() == traced_entry.report.to_json()
         assert trace.metrics()["trace.events"] > 0
 
+    def test_traced_ticks_take_the_steady_stretch_path(self, monkeypatch):
+        from repro.fleet.simulator import FleetSimulator
+        from repro.telemetry import Tracer
+
+        sampled = []
+        original = FleetSimulator._sample
+
+        def counting_sample(self, *args):
+            sampled.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(FleetSimulator, "_sample", counting_sample)
+        scenario = busy_storm(1)
+        tracer = Tracer(scenario=scenario.name, seed=1)
+        report = scenario.run_traced(tracer)
+        snapshot = tracer.metrics.snapshot()
+        # Steady-stretch ticks are counted, not sampled one by one; the
+        # settle materializes their rows, and the tick metrics and the
+        # trace still see every tick.
+        assert 0 < len(sampled) < len(report.samples) // 2
+        assert snapshot.counters["fleet.ticks"] == len(report.samples)
+        assert tracer.event_count >= 4 * len(report.samples)
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_busy_storm_traced_report_matches_untraced(self, seed):
         scenario = busy_storm(seed)

@@ -70,6 +70,17 @@ class TestSpans:
         with pytest.raises(ConfigError):
             make_tracer().end(actor="fleet")
 
+    def test_one_tick_series_per_tracer(self):
+        tracer = make_tracer()
+        rows: list[tuple] = []
+        tracer.attach_ticks(
+            "t.tick", "t", (), rows=lambda: rows, count=lambda: len(rows)
+        )
+        with pytest.raises(ConfigError):
+            tracer.attach_ticks(
+                "t.tick", "t", (), rows=lambda: rows, count=lambda: len(rows)
+            )
+
     def test_span_context_manager_closes_on_exception(self):
         tracer = make_tracer()
         with pytest.raises(RuntimeError):
@@ -93,6 +104,27 @@ class TestSpans:
             tracer.instant("bad", value=float("nan"))
         with pytest.raises(ConfigError):
             tracer.instant("bad", value=[1, 2])
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), float("nan"), "3", None, [1.0]]
+    )
+    def test_counter_values_must_be_finite_numbers(self, value):
+        tracer = make_tracer()
+        with pytest.raises(ConfigError):
+            tracer.counter("queue.depth", value)
+        assert tracer.event_count == 0
+
+    def test_revived_counter_values_stay_floats(self):
+        tracer = make_tracer()
+        tracer.counter("queue.depth", 3)
+        tracer.counter("queue.depth", 2.5)
+        tracer.counter("queue.depth", True)
+        text = tracer.freeze().to_json()
+        revived = report_from_json(text)
+        values = [dict(e.args)["value"] for e in revived.processes[0].events]
+        assert values == [3.0, 2.5, 1.0]
+        assert all(type(v) is float for v in values)
+        assert revived.to_json() == text
 
 
 class TestIdentity:
