@@ -377,9 +377,7 @@ class FleetSimulator:
                 "fleet.tick", "fleet", _TICK_COUNTERS,
                 rows=self._settled_rows, count=self._tick_count,
             )
-            # (ticks, clock events) already folded into the counters.
             self._fired_at_attach = self.clock.fired
-            self._metrics_seen = (0, 0)
             self.tracer.metrics.add_collector(self._collect_metrics)
             self.broker.attach_tracer(self.tracer)
 
@@ -1348,14 +1346,14 @@ class FleetSimulator:
         return self._sample_rows
 
     def _collect_metrics(self, registry) -> None:
-        """Bring ``fleet.ticks`` / ``fleet.clock_events`` up to date."""
+        """Bring ``fleet.clock_events`` and ``fleet.ticks`` (which exists
+        once a tick has fired) up to their totals."""
+        events = registry.counter("fleet.clock_events")
+        events.inc(self.clock.fired - self._fired_at_attach - events.value)
         ticks = self._tick_count()
-        events = self.clock.fired - self._fired_at_attach
-        seen_ticks, seen_events = self._metrics_seen
-        registry.counter("fleet.clock_events").inc(events - seen_events)
         if ticks:
-            registry.counter("fleet.ticks").inc(ticks - seen_ticks)
-        self._metrics_seen = (ticks, events)
+            counter = registry.counter("fleet.ticks")
+            counter.inc(ticks - counter.value)
 
     # -- driver ---------------------------------------------------------------
 

@@ -23,13 +23,22 @@ from contextlib import contextmanager
 from typing import Any
 
 from ..common.serialization import dump_json, null_specials
-from .tracer import PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, Trace
+from .tracer import (
+    PHASE_COUNTER,
+    PHASE_INSTANT,
+    PHASE_SPAN,
+    TickSeries,
+    Trace,
+)
 
 #: Sim-time seconds → Chrome microseconds.
 _US_PER_S = 1_000_000.0
 
 _VALID_PHASES = {"X", "i", "C", "M"}
 _METADATA_NAMES = {"process_name", "thread_name"}
+
+#: Trace phase -> Chrome phase.
+_CHROME_PHASE = {PHASE_SPAN: "X", PHASE_INSTANT: "i", PHASE_COUNTER: "C"}
 
 
 @contextmanager
@@ -95,7 +104,8 @@ def _to_chrome(trace: Trace) -> dict:
         ticks = process.ticks
         for is_tick, start, stop in process.runs():
             if is_tick:
-                _tick_events(append, ticks, start, stop, pid, tid_of(ticks.actor))
+                tid = tid_of(ticks.actor)
+                _tick_events(append, ticks, start, stop, pid, tid)
                 continue
             for i in range(start, stop):
                 actor_id = actor_ids[i]
@@ -119,11 +129,9 @@ def _to_chrome(trace: Trace) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-#: Trace phase -> Chrome phase.
-_CHROME_PHASE = {PHASE_SPAN: "X", PHASE_INSTANT: "i", PHASE_COUNTER: "C"}
-
-
-def _tick_events(append, ticks, start: int, stop: int, pid: int, tid: int) -> None:
+def _tick_events(
+    append, ticks: TickSeries, start: int, stop: int, pid: int, tid: int
+) -> None:
     """Chrome events of tick rows ``start..stop``: the counters, then
     the zero-length span, per row."""
     span = ticks.span
@@ -211,7 +219,9 @@ def validate_chrome_trace(payload: Any) -> list[str]:
             args = event.get("args")
             if type(args) is not dict and not isinstance(args, Mapping):
                 found.append((index, "counter needs an 'args' mapping"))
-    problems.extend(f"traceEvents[{index}]: {problem}" for index, problem in found)
+    problems.extend(
+        f"traceEvents[{index}]: {problem}" for index, problem in found
+    )
     return problems
 
 

@@ -94,7 +94,9 @@ def _counter_value(name: str, value: Any) -> float:
         )
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"counter {name!r} value must be finite, got {value!r}")
+        raise ConfigError(
+            f"counter {name!r} value must be finite, got {value!r}"
+        )
     return value
 
 
@@ -328,7 +330,8 @@ class TraceProcess:
                     "dur": dur_s,
                     "args": {key: value for key, value in args},
                 }
-                for phase, name, actor, time_s, dur_s, args in self.iter_events()
+                for phase, name, actor, time_s, dur_s, args
+                in self.iter_events()
             ],
         }
 
@@ -601,7 +604,9 @@ class Tracer:
             raise ConfigError(f"no open span to end for actor {actor!r}")
         name, start, args = stack.pop()
         now = self._time()
-        self._record(PHASE_SPAN, name, actor, start, max(0.0, now - start), args)
+        self._record(
+            PHASE_SPAN, name, actor, start, max(0.0, now - start), args
+        )
 
     @contextmanager
     def span(self, name: str, actor: str = "main", **args):
